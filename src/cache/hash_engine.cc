@@ -151,10 +151,13 @@ Status HashEngine::EvictLocked(Shard& shard, size_t needed,
   Entry* e = shard.lru_tail;
   while (shard.charged + needed > per_shard_budget_ && e != nullptr) {
     Entry* prev = e->lru_prev;
-    if (e != protect &&
-        (filter == nullptr || (*filter)(Slice(e->key)))) {
+    if (e == protect) {
+      // The entry being charged stays; keep walking.
+    } else if (filter == nullptr || (*filter)(Slice(e->key))) {
       RemoveEntryLocked(shard, e);
       evictions_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      eviction_filter_skips_.fetch_add(1, std::memory_order_relaxed);
     }
     e = prev;
   }
@@ -321,6 +324,17 @@ Status HashEngine::SetEx(const Slice& key, const Slice& value,
   Shard& shard = ShardFor(hash);
   common::MutexLock lock(&shard.mu);
   return SetLocked(shard, key, hash, value, ttl_micros);
+}
+
+Status HashEngine::Fill(const Slice& key, const Slice& value,
+                        const std::function<bool()>& admit) {
+  // Not reported to the analytics sink: the access was the read that
+  // missed, and it has been recorded already.
+  const uint64_t hash = Hash64(key);
+  Shard& shard = ShardFor(hash);
+  common::MutexLock lock(&shard.mu);
+  if (!admit()) return Status::Aborted("cache: fill superseded by a write");
+  return SetLocked(shard, key, hash, value, 0);
 }
 
 Status HashEngine::Get(const Slice& key, std::string* value) {

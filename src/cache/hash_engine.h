@@ -120,6 +120,13 @@ class HashEngine : public KvEngine {
   Status Cas(const Slice& key, const Slice& expected, const Slice& value,
              bool allow_create = false);
   bool Exists(const Slice& key);
+  /// Cache fill after a lower-tier read: stores key=value (no TTL) only if
+  /// `admit()` still returns true under the key's shard lock; otherwise
+  /// stores nothing and returns Aborted. A writer that changes what
+  /// `admit` checks before it touches the key's shard can thereby never
+  /// have its write replaced by a fill that read older data.
+  Status Fill(const Slice& key, const Slice& value,
+              const std::function<bool()>& admit);
 
   // --- TTL. ---
   Status Expire(const Slice& key, uint64_t ttl_micros);
@@ -164,6 +171,11 @@ class HashEngine : public KvEngine {
   // --- Introspection / control. ---
   UsageStats GetUsage() const override;
   uint64_t evictions() const { return evictions_.load(); }
+  /// Entries the eviction walk stepped past because the eviction filter
+  /// pinned them (counted only while a filter is installed).
+  uint64_t eviction_filter_skips() const {
+    return eviction_filter_skips_.load();
+  }
   uint64_t expirations() const { return expirations_.load(); }
   /// LRU reorderings performed. Stays zero while memory_budget == 0: with
   /// no eviction possible the hot path skips recency maintenance (and the
@@ -330,6 +342,7 @@ class HashEngine : public KvEngine {
   std::shared_ptr<const EvictionFilter> eviction_filter_;
 
   std::atomic<uint64_t> evictions_{0};
+  std::atomic<uint64_t> eviction_filter_skips_{0};
   std::atomic<uint64_t> expirations_{0};
   std::atomic<uint64_t> pmem_bytes_{0};
   std::atomic<uint64_t> multi_shard_locks_{0};

@@ -1,30 +1,28 @@
 #include "core/deferred_fetch.h"
 
-#include <algorithm>
-
 namespace tierbase {
 
 DeferredFetcher::DeferredFetcher(StorageAdapter* storage,
-                                 DeferredFetchOptions options, Clock* clock)
-    : storage_(storage), options_(options), clock_(clock) {}
+                                 DeferredFetchOptions options)
+    : storage_(storage), options_(options) {}
 
 void DeferredFetcher::LeaderDrain() {
-  // Keep draining until no keys are pending (later joiners are picked up
-  // by a follow-on batch rather than stranded).
+  // Keep reading until the queue is empty: keys queued while a read was on
+  // the wire form the next batch rather than being stranded.
   while (true) {
     std::vector<std::string> keys;
     std::vector<std::shared_ptr<PendingKey>> entries;
     {
       common::MutexLock lock(&mu_);
-      for (auto& [k, p] : pending_) {
-        if (p->done) continue;
-        if (keys.size() >= options_.max_batch) break;
-        keys.push_back(k);
-        entries.push_back(p);
+      while (!queue_.empty() && keys.size() < options_.max_batch) {
+        entries.push_back(std::move(queue_.front()));
+        queue_.pop_front();
+        keys.push_back(entries.back()->key);
+        queued_.erase(keys.back());
       }
       if (keys.empty()) {
-        batch_leader_active_ = false;
-        break;
+        leader_active_ = false;
+        return;
       }
     }
 
@@ -43,57 +41,18 @@ void DeferredFetcher::LeaderDrain() {
         } else {
           entries[i]->error = s;
         }
-        pending_.erase(keys[i]);
       }
     }
     cv_.SignalAll();
   }
-  cv_.SignalAll();
 }
 
 Status DeferredFetcher::Fetch(const Slice& key, std::string* value) {
-  if (!options_.enabled) {
-    return storage_->Read(key, value);
-  }
-
-  std::shared_ptr<PendingKey> mine;
-  bool leader = false;
-  {
-    common::MutexLock lock(&mu_);
-    ++stats_.fetches;
-    auto it = pending_.find(key.ToString());
-    if (it != pending_.end()) {
-      // Piggyback on an in-flight (or forming) batch containing this key.
-      mine = it->second;
-      ++mine->waiters;
-      ++stats_.shared;
-    } else {
-      mine = std::make_shared<PendingKey>();
-      mine->waiters = 1;
-      pending_.emplace(key.ToString(), mine);
-      if (!batch_leader_active_) {
-        batch_leader_active_ = true;
-        leader = true;
-      }
-    }
-  }
-
-  if (leader) {
-    // Give concurrent missers a short window to join the batch.
-    if (options_.batch_window_micros > 0) {
-      clock_->SleepMicros(options_.batch_window_micros);
-    }
-    LeaderDrain();
-  }
-
-  {
-    common::MutexLock lock(&mu_);
-    while (!mine->done) cv_.Wait();
-  }
-  if (!mine->error.ok()) return mine->error;
-  if (!mine->found) return Status::NotFound("");
-  *value = mine->value;
-  return Status::OK();
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  FetchMany({key}, &values, &statuses);
+  if (statuses[0].ok()) *value = std::move(values[0]);
+  return statuses[0];
 }
 
 void DeferredFetcher::FetchMany(const std::vector<Slice>& keys,
@@ -104,29 +63,9 @@ void DeferredFetcher::FetchMany(const std::vector<Slice>& keys,
   statuses->assign(n, Status::OK());
   if (n == 0) return;
 
-  if (!options_.enabled) {
-    std::vector<std::string> key_strs;
-    key_strs.reserve(n);
-    for (const Slice& k : keys) key_strs.push_back(k.ToString());
-    std::vector<std::string> out;
-    std::vector<bool> found;
-    Status s = storage_->MultiRead(key_strs, &out, &found);
-    for (size_t i = 0; i < n; ++i) {
-      if (!s.ok()) {
-        (*statuses)[i] = s;
-      } else if (!found[i]) {
-        (*statuses)[i] = Status::NotFound("");
-      } else {
-        (*values)[i] = std::move(out[i]);
-      }
-    }
-    return;
-  }
-
-  // Register every key (deduplicating against in-flight singles and
-  // earlier occurrences in this batch), then drain as leader unless one is
-  // already active — the batch already IS batched, so the forming window
-  // is skipped.
+  // Queue every key (deduplicating against keys already queued, by this
+  // call or a concurrent one), then lead unless a leader is active — it
+  // will send these keys with its next read.
   std::vector<std::shared_ptr<PendingKey>> mine(n);
   bool leader = false;
   {
@@ -134,19 +73,19 @@ void DeferredFetcher::FetchMany(const std::vector<Slice>& keys,
     for (size_t i = 0; i < n; ++i) {
       ++stats_.fetches;
       std::string k = keys[i].ToString();
-      auto it = pending_.find(k);
-      if (it != pending_.end()) {
+      auto it = queued_.find(k);
+      if (it != queued_.end()) {
         mine[i] = it->second;
-        ++mine[i]->waiters;
         ++stats_.shared;
       } else {
         mine[i] = std::make_shared<PendingKey>();
-        mine[i]->waiters = 1;
-        pending_.emplace(std::move(k), mine[i]);
+        mine[i]->key = k;
+        queue_.push_back(mine[i]);
+        queued_.emplace(std::move(k), mine[i]);
       }
     }
-    if (!batch_leader_active_) {
-      batch_leader_active_ = true;
+    if (!leader_active_) {
+      leader_active_ = true;
       leader = true;
     }
   }

@@ -51,10 +51,7 @@ struct WriteBackOptions {
 };
 
 struct DeferredFetchOptions {
-  bool enabled = true;
-  /// Collect concurrent misses for up to this long before issuing one
-  /// batched MultiRead to the storage tier.
-  uint64_t batch_window_micros = 200;
+  /// Maximum keys per batched MultiRead to the storage tier.
   size_t max_batch = 64;
 };
 

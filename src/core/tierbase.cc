@@ -5,6 +5,7 @@
 
 #include "common/coding.h"
 #include "common/env.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/perf_context.h"
 
@@ -48,6 +49,50 @@ const char* CachingPolicyName(CachingPolicy policy) {
 TierBase::TierBase(const TierBaseOptions& options, StorageAdapter* storage)
     : options_(options), storage_(storage) {}
 
+TierBase::WriteSeq* TierBase::SeqFor(const Slice& key) const {
+  return &write_seq_[Hash64(key) & (kWriteSeqStripes - 1)];
+}
+
+TierBase::WriteSeq* TierBase::BeginWrite(const Slice& key) const {
+  if (write_seq_ == nullptr) return nullptr;
+  WriteSeq* seq = SeqFor(key);
+  seq->started.fetch_add(1);
+  return seq;
+}
+
+TierBase::FillTicket TierBase::TakeFillTicket(const Slice& key) const {
+  // `finished` first: if the later read of `started` equals it, no write
+  // was in progress at that moment, so every earlier write's effects are
+  // visible to the probes that follow.
+  FillTicket ticket;
+  ticket.seq = SeqFor(key);
+  const uint64_t finished = ticket.seq->finished.load();
+  ticket.started = ticket.seq->started.load();
+  ticket.quiet = ticket.started == finished;
+  return ticket;
+}
+
+Status TierBase::FillCache(const Slice& key, const Slice& value,
+                           const FillTicket& ticket) {
+  // Every tiered write bumps `started` before it takes the key's shard
+  // lock, so checking it under that lock orders this fill wholly before
+  // or wholly after the write's cache effect.
+  Status s = ticket.quiet
+                 ? cache_->Fill(key, value,
+                                [&ticket] {
+                                  return ticket.seq->started.load() ==
+                                         ticket.started;
+                                })
+                 : Status::Aborted("tierbase: write in progress");
+  if (s.ok()) {
+    stats_populates_.fetch_add(1, std::memory_order_relaxed);
+    if (replicator_ != nullptr) replicator_->ReplicateSet(key, value);
+  } else if (s.IsAborted()) {
+    stats_populates_refused_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return s;
+}
+
 TierBase::~TierBase() {
   // Flush write-back state before tearing anything down.
   if (write_back_ != nullptr) write_back_->FlushAll();
@@ -87,6 +132,7 @@ Status TierBase::Init() {
     options_.cache.analytics = analytics_.get();
   }
   cache_ = std::make_unique<cache::HashEngine>(options_.cache);
+  if (tiered()) write_seq_ = std::make_unique<WriteSeq[]>(kWriteSeqStripes);
 
   if (options_.replication == ReplicationMode::kMasterReplica) {
     Replicator::Options ropts;
@@ -297,6 +343,7 @@ Status TierBase::SetEx(const Slice& key, const Slice& value,
 Status TierBase::SetInternal(const Slice& key, const Slice& value,
                              uint64_t ttl_micros) {
   stats_sets_.fetch_add(1, std::memory_order_relaxed);
+  WriteFence fence(this, key);
 
   switch (options_.policy) {
     case CachingPolicy::kCacheOnly:
@@ -367,6 +414,7 @@ Status TierBase::Get(const Slice& key, std::string* value) {
     return Status::NotFound("");
   }
 
+  const FillTicket ticket = TakeFillTicket(key);
   // Write-back: consult the dirty buffer before declaring a miss — it is
   // part of the cache tier (a dirty delete means the key is gone even if
   // storage still has it; a dirty value may never have had a cache copy).
@@ -391,12 +439,9 @@ Status TierBase::Get(const Slice& key, std::string* value) {
 
   if (options_.populate_on_miss) {
     // Populate without dirtying: this value is already durable in storage.
-    Status ps = cache_->Set(key, *value);
-    if (ps.ok()) {
-      stats_populates_.fetch_add(1, std::memory_order_relaxed);
-      if (replicator_ != nullptr) replicator_->ReplicateSet(key, *value);
-    }
-    // OutOfSpace here is fine — serving from storage still works.
+    // A refused fill (OutOfSpace, or a write intervened) is fine — the
+    // value read is still a correct reply.
+    FillCache(key, *value, ticket);
   }
   return Status::OK();
 }
@@ -428,6 +473,9 @@ void TierBase::MultiGet(const std::vector<Slice>& keys,
     stats_misses_.fetch_add(misses.size(), std::memory_order_relaxed);
     return;
   }
+
+  std::vector<FillTicket> tickets(n);
+  for (uint32_t i : misses) tickets[i] = TakeFillTicket(keys[i]);
 
   // Write-back: the dirty buffer is part of the cache tier — consult it
   // before going to storage, one dirty-set lock for the whole batch.
@@ -470,31 +518,14 @@ void TierBase::MultiGet(const std::vector<Slice>& keys,
     fetcher_->FetchMany(miss_keys, &fetched, &fetch_statuses);
   }
 
-  std::vector<Slice> populate_keys;
-  std::vector<Slice> populate_values;
   for (size_t m = 0; m < misses.size(); ++m) {
     const uint32_t i = misses[m];
     (*statuses)[i] = fetch_statuses[m];
     if (fetch_statuses[m].ok()) {
       (*values)[i] = std::move(fetched[m]);
+      // Populate without dirtying, as in Get.
       if (options_.populate_on_miss) {
-        populate_keys.push_back(keys[i]);
-        populate_values.push_back(Slice((*values)[i]));
-      }
-    }
-  }
-
-  if (!populate_keys.empty()) {
-    // Populate without dirtying: these values are already durable in
-    // storage. OutOfSpace is fine — serving from storage still works.
-    std::vector<Status> populate_statuses;
-    cache_->MultiSet(populate_keys, populate_values, &populate_statuses);
-    for (size_t p = 0; p < populate_keys.size(); ++p) {
-      if (populate_statuses[p].ok()) {
-        stats_populates_.fetch_add(1, std::memory_order_relaxed);
-        if (replicator_ != nullptr) {
-          replicator_->ReplicateSet(populate_keys[p], populate_values[p]);
-        }
+        FillCache(keys[i], (*values)[i], tickets[i]);
       }
     }
   }
@@ -507,6 +538,11 @@ void TierBase::MultiSet(const std::vector<Slice>& keys,
   stats_sets_.fetch_add(n, std::memory_order_relaxed);
   statuses->assign(n, Status::OK());
   if (n == 0) return;
+  std::vector<WriteSeq*> writing;
+  if (write_seq_ != nullptr) {
+    writing.reserve(n);
+    for (const Slice& key : keys) writing.push_back(BeginWrite(key));
+  }
 
   switch (options_.policy) {
     case CachingPolicy::kCacheOnly:
@@ -590,6 +626,8 @@ void TierBase::MultiSet(const std::vector<Slice>& keys,
     }
   }
 
+  for (WriteSeq* seq : writing) EndWrite(seq);
+
   if (replicator_ != nullptr) {
     for (size_t i = 0; i < n; ++i) {
       if ((*statuses)[i].ok()) {
@@ -600,6 +638,7 @@ void TierBase::MultiSet(const std::vector<Slice>& keys,
 }
 
 Status TierBase::Delete(const Slice& key) {
+  WriteFence fence(this, key);
   switch (options_.policy) {
     case CachingPolicy::kCacheOnly: {
       Status s = cache_->Delete(key);
@@ -643,25 +682,31 @@ Status TierBase::Cas(const Slice& key, const Slice& expected,
                      const Slice& value, bool allow_create) {
   // Tiered modes: fetch the authoritative value into the cache first
   // (deferred cache-fetching path for update ops on missing keys, §4.1.2).
+  // The fill follows the populate rule; one refused because a write
+  // intervened fails the CAS as lost to that write.
   if (tiered() && !cache_->Exists(key)) {
+    const FillTicket ticket = TakeFillTicket(key);
     bool dirty_delete = false;
     std::string dirty_value;
     bool have_dirty =
         write_back_ != nullptr &&
         write_back_->GetDirty(key, &dirty_value, &dirty_delete);
+    Status fill;
     if (have_dirty && !dirty_delete) {
-      cache_->Set(key, dirty_value);
+      fill = FillCache(key, dirty_value, ticket);
     } else if (!have_dirty) {
       std::string stored;
       Status s = fetcher_->Fetch(key, &stored);
       if (s.ok()) {
-        cache_->Set(key, stored);
+        fill = FillCache(key, stored, ticket);
       } else if (!s.IsNotFound()) {
         return s;
       }
     }
+    if (fill.IsAborted()) return fill;
   }
 
+  WriteFence fence(this, key);
   TIERBASE_RETURN_IF_ERROR(cache_->Cas(key, expected, value, allow_create));
 
   // Propagate the accepted write like a Set.
@@ -720,7 +765,10 @@ TierBase::Stats TierBase::GetStats() const {
   s.cache_misses = stats_misses_.load(std::memory_order_relaxed);
   s.sets = stats_sets_.load(std::memory_order_relaxed);
   s.storage_populates = stats_populates_.load(std::memory_order_relaxed);
+  s.populates_refused =
+      stats_populates_refused_.load(std::memory_order_relaxed);
   s.evictions = cache_->evictions();
+  s.eviction_filter_skips = cache_->eviction_filter_skips();
   s.expirations = cache_->expirations();
   s.lru_touches = cache_->lru_touches();
   s.multi_shard_locks = cache_->multi_shard_locks();

@@ -11,10 +11,21 @@
 //
 // Write-through uses per-key write queues and write coalescing (§4.1.1);
 // write-back uses dirty tracking with batched merged flushes, backpressure,
-// and deferred cache-fetching (§4.1.2). An optional in-process replica
-// models the dual-replica reliability configuration of §6.4. Value
-// compression (§4.2) and PMem placement (§4.3) are configured through the
-// embedded cache engine options.
+// and deferred cache-fetching (§4.1.2).
+//
+// Populate rule (tiered policies): a value fetched from storage after a
+// cache miss fills the cache only if no write to the key (or to another key
+// of its stripe) was in progress when the miss was observed and none has
+// started since. Every tiered write bumps its stripe's `started` counter
+// before its first effect and `finished` after its last; the miss takes a
+// fill ticket from the stripe, and the fill compares it under the cache
+// shard lock. A fill thus never replaces or shadows a write acknowledged
+// after the miss was observed — whether that write's copy is in the cache,
+// only in the write-back dirty buffer, or already flushed and evicted.
+//
+// An optional in-process replica models the dual-replica reliability
+// configuration of §6.4. Value compression (§4.2) and PMem placement (§4.3)
+// are configured through the embedded cache engine options.
 
 #ifndef TIERBASE_CORE_TIERBASE_H_
 #define TIERBASE_CORE_TIERBASE_H_
@@ -97,8 +108,10 @@ class TierBase : public KvEngine {
     uint64_t cache_misses = 0;     // Misses that consulted storage.
     uint64_t sets = 0;
     uint64_t storage_populates = 0;
+    uint64_t populates_refused = 0;  // Fills dropped: a write intervened.
     // Cache-tier aggregates (from the embedded HashEngine).
     uint64_t evictions = 0;
+    uint64_t eviction_filter_skips = 0;  // Pinned entries stepped past.
     uint64_t expirations = 0;
     uint64_t lru_touches = 0;
     uint64_t multi_shard_locks = 0;  // Shard locks taken by batch ops.
@@ -140,6 +153,44 @@ class TierBase : public KvEngine {
            options_.policy == CachingPolicy::kWriteBack;
   }
 
+  /// Per-stripe write sequence behind the populate rule.
+  struct WriteSeq {
+    std::atomic<uint64_t> started{0};
+    std::atomic<uint64_t> finished{0};
+  };
+  static constexpr size_t kWriteSeqStripes = 1024;
+  WriteSeq* SeqFor(const Slice& key) const;
+  /// Mark the start and the end of one tiered write of `key`. BeginWrite
+  /// returns null, and EndWrite ignores it, under the other policies.
+  WriteSeq* BeginWrite(const Slice& key) const;
+  static void EndWrite(WriteSeq* seq) {
+    if (seq != nullptr) seq->finished.fetch_add(1);
+  }
+  /// Brackets a single-key write.
+  class WriteFence {
+   public:
+    WriteFence(const TierBase* db, const Slice& key)
+        : seq_(db->BeginWrite(key)) {}
+    ~WriteFence() { EndWrite(seq_); }
+    WriteFence(const WriteFence&) = delete;
+    WriteFence& operator=(const WriteFence&) = delete;
+
+   private:
+    WriteSeq* seq_;
+  };
+  struct FillTicket {
+    WriteSeq* seq = nullptr;
+    uint64_t started = 0;
+    bool quiet = false;  // No write was in progress when it was taken.
+  };
+  /// Taken after the cache miss, before the dirty buffer and storage are
+  /// consulted.
+  FillTicket TakeFillTicket(const Slice& key) const;
+  /// Fills the cache with a value read below it, under the populate rule.
+  /// Aborted when a write intervened.
+  Status FillCache(const Slice& key, const Slice& value,
+                   const FillTicket& ticket);
+
   TierBaseOptions options_;
   StorageAdapter* storage_;
 
@@ -151,6 +202,8 @@ class TierBase : public KvEngine {
   std::unique_ptr<WriteBackManager> write_back_;
   std::unique_ptr<DeferredFetcher> fetcher_;
   std::unique_ptr<Replicator> replicator_;
+  // Tiered policies only; null otherwise.
+  std::unique_ptr<WriteSeq[]> write_seq_;
 
   // WAL persistence modes.
   std::unique_ptr<lsm::WalWriter> wal_;
@@ -167,6 +220,7 @@ class TierBase : public KvEngine {
   std::atomic<uint64_t> stats_misses_{0};
   std::atomic<uint64_t> stats_sets_{0};
   std::atomic<uint64_t> stats_populates_{0};
+  std::atomic<uint64_t> stats_populates_refused_{0};
 };
 
 }  // namespace tierbase

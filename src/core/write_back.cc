@@ -22,14 +22,11 @@ WriteBackManager::~WriteBackManager() {
   if (flusher_.joinable()) flusher_.join();
 }
 
-Status WriteBackManager::MarkDirty(const Slice& key, const Slice& value,
-                                   bool is_delete) {
-  common::MutexLock lock(&mu_);
-  if (!flush_error_.ok()) return flush_error_;
-
+Status WriteBackManager::WaitForRoomLocked(const Slice& key) {
   // Backpressure: block while the dirty set is at capacity (§4.1.2 "a
   // backpressure mechanism is activated when dirty data approaches a
   // predefined threshold").
+  if (!flush_error_.ok()) return flush_error_;
   while (dirty_.size() >= options_.max_dirty &&
          dirty_.find(key.ToString()) == dirty_.end()) {
     ++stats_.backpressure_waits;
@@ -37,14 +34,30 @@ Status WriteBackManager::MarkDirty(const Slice& key, const Slice& value,
     space_cv_.Wait();
     if (!flush_error_.ok()) return flush_error_;
   }
+  return Status::OK();
+}
 
+void WriteBackManager::MarkDirtyLocked(const Slice& key, const Slice& value,
+                                       bool is_delete) {
   ++stats_.updates;
   auto [it, inserted] = dirty_.try_emplace(key.ToString());
-  if (!inserted) ++stats_.merged_updates;
-  it->second.value = value.ToString();
-  it->second.is_delete = is_delete;
-  it->second.gen = next_gen_++;
+  DirtyEntry& entry = it->second;
+  if (inserted) {
+    entry.pos = order_.insert(order_.end(), &it->first);
+  } else {
+    ++stats_.merged_updates;
+    order_.splice(order_.end(), order_, entry.pos);
+  }
+  entry.value.assign(value.data(), value.size());
+  entry.is_delete = is_delete;
+  entry.gen = next_gen_++;
+}
 
+Status WriteBackManager::MarkDirty(const Slice& key, const Slice& value,
+                                   bool is_delete) {
+  common::MutexLock lock(&mu_);
+  TIERBASE_RETURN_IF_ERROR(WaitForRoomLocked(key));
+  MarkDirtyLocked(key, value, is_delete);
   if (dirty_.size() >= options_.flush_threshold) {
     flush_cv_.SignalAll();
   }
@@ -55,20 +68,8 @@ Status WriteBackManager::MarkDirtyBatch(const std::vector<Slice>& keys,
                                         const std::vector<Slice>& values) {
   common::MutexLock lock(&mu_);
   for (size_t i = 0; i < keys.size(); ++i) {
-    if (!flush_error_.ok()) return flush_error_;
-    while (dirty_.size() >= options_.max_dirty &&
-           dirty_.find(keys[i].ToString()) == dirty_.end()) {
-      ++stats_.backpressure_waits;
-      flush_cv_.SignalAll();
-      space_cv_.Wait();
-      if (!flush_error_.ok()) return flush_error_;
-    }
-    ++stats_.updates;
-    auto [it, inserted] = dirty_.try_emplace(keys[i].ToString());
-    if (!inserted) ++stats_.merged_updates;
-    it->second.value = values[i].ToString();
-    it->second.is_delete = false;
-    it->second.gen = next_gen_++;
+    TIERBASE_RETURN_IF_ERROR(WaitForRoomLocked(keys[i]));
+    MarkDirtyLocked(keys[i], values[i], /*is_delete=*/false);
   }
   if (dirty_.size() >= options_.flush_threshold) {
     flush_cv_.SignalAll();
@@ -110,16 +111,18 @@ void WriteBackManager::GetDirtyBatch(const std::vector<Slice>& keys,
 }
 
 Result<size_t> WriteBackManager::FlushBatch() {
-  // Snapshot a batch under the lock, write it outside, then remove entries
-  // that were not re-dirtied during the write.
+  // Snapshot the oldest entries under the lock, write them outside, then
+  // remove those that were not re-dirtied during the write. A failed write
+  // leaves them, still oldest, at the front.
   std::vector<StorageAdapter::BatchOp> batch;
   std::vector<std::pair<std::string, uint64_t>> taken;
   {
     common::MutexLock lock(&mu_);
-    for (const auto& [key, entry] : dirty_) {
+    for (const std::string* key : order_) {
       if (batch.size() >= options_.max_batch) break;
-      batch.push_back({key, entry.value, entry.is_delete});
-      taken.emplace_back(key, entry.gen);
+      const DirtyEntry& entry = dirty_.find(*key)->second;
+      batch.push_back({*key, entry.value, entry.is_delete});
+      taken.emplace_back(*key, entry.gen);
     }
   }
   if (batch.empty()) return size_t{0};
@@ -146,6 +149,7 @@ Result<size_t> WriteBackManager::FlushBatch() {
   for (const auto& [key, gen] : taken) {
     auto it = dirty_.find(key);
     if (it != dirty_.end() && it->second.gen == gen) {
+      order_.erase(it->second.pos);
       dirty_.erase(it);
     }
   }

@@ -1,10 +1,16 @@
 // Write-back machinery (paper §4.1.2): dirty tracking, deferred batched
 // flushes with per-key update merging, interval-bounded staleness, and a
 // backpressure mechanism when dirty data approaches its cap.
+//
+// The dirty set is kept in update order and flushed oldest first, so an
+// entry stays dirty for at most the backlog ahead of it. Dirty entries are
+// pinned in the cache: one left dirty would sit at the LRU tail, where
+// every eviction walk has to step past it.
 
 #ifndef TIERBASE_CORE_WRITE_BACK_H_
 #define TIERBASE_CORE_WRITE_BACK_H_
 
+#include <list>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -77,11 +83,19 @@ class WriteBackManager {
     std::string value;
     bool is_delete = false;
     uint64_t gen = 0;
+    /// This entry's place in order_ (which points at the map's key).
+    std::list<const std::string*>::iterator pos;
   };
 
+  /// Backpressure: blocks while the dirty set is full and `key` is not
+  /// already in it. Returns the sticky flush error, if any.
+  Status WaitForRoomLocked(const Slice& key) EXCLUSIVE_LOCKS_REQUIRED(mu_);
+  /// Records the update and moves the key to the back of order_.
+  void MarkDirtyLocked(const Slice& key, const Slice& value, bool is_delete)
+      EXCLUSIVE_LOCKS_REQUIRED(mu_);
   void FlusherLoop();
-  /// Takes up to max_batch dirty entries and writes them as one batch.
-  /// Returns number flushed.
+  /// Takes up to max_batch of the oldest dirty entries and writes them as
+  /// one batch. Returns number flushed.
   Result<size_t> FlushBatch();
 
   StorageAdapter* storage_;
@@ -93,6 +107,9 @@ class WriteBackManager {
   common::CondVar space_cv_{&mu_};  // Wakes backpressured writers.
   common::CondVar clean_cv_{&mu_};  // Signals "all clean".
   std::unordered_map<std::string, DirtyEntry> dirty_ GUARDED_BY(mu_);
+  /// The keys of dirty_, least recently updated first. Map nodes never
+  /// move, so the pointers stay valid until their entry is erased.
+  std::list<const std::string*> order_ GUARDED_BY(mu_);
   uint64_t next_gen_ GUARDED_BY(mu_) = 1;
   bool shutting_down_ GUARDED_BY(mu_) = false;
   int flush_waiters_ GUARDED_BY(mu_) = 0;  // FlushAll calls in progress;

@@ -235,8 +235,23 @@ void CommandTable::RegisterInstruments() {
   stat("Stats", "write_through_storage_writes",
        "Synchronous storage-tier writes",
        [this] { return info_stats_.write_through.storage_writes; });
+  stat("Stats", "storage_populates_refused",
+       "Cache fills dropped because a write raced the storage read",
+       [this] { return info_stats_.populates_refused; });
   stat("Stats", "deferred_fetches", "Deferred storage fetches",
        [this] { return info_stats_.deferred_fetch.fetches; });
+  stat("Stats", "deferred_fetch_batches",
+       "Batched storage reads issued for deferred fetches",
+       [this] { return info_stats_.deferred_fetch.batch_calls; });
+  stat("Stats", "deferred_fetch_shared",
+       "Deferred fetches served by another caller's queued key",
+       [this] { return info_stats_.deferred_fetch.shared; });
+  stat("Stats", "write_back_backpressure_waits",
+       "Writes stalled on the write-back dirty-set cap",
+       [this] { return info_stats_.write_back.backpressure_waits; });
+  stat("Stats", "eviction_filter_skips",
+       "Pinned entries the eviction walk stepped past",
+       [this] { return info_stats_.eviction_filter_skips; });
 
   // # Commandstats: one latency histogram per command family, recorded
   // dispatch -> reply. [kNumSpecs] catches pre-table commands (PING,

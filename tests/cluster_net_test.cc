@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -118,6 +119,53 @@ struct DataNode {
   std::string id;
 
   uint16_t port() const { return srv->port(); }
+};
+
+// Forwards every operation to `inner` and runs `at_op` once, just before
+// the operation that takes the count of keys past `n`: a fault injected
+// at a point of the run's progress, not of the wall clock.
+class TriggerAfterOps : public KvEngine {
+ public:
+  TriggerAfterOps(KvEngine* inner, uint64_t n, std::function<void()> at_op)
+      : inner_(inner), n_(n), at_op_(std::move(at_op)) {}
+
+  std::string name() const override { return inner_->name(); }
+  Status Set(const Slice& key, const Slice& value) override {
+    Count(1);
+    return inner_->Set(key, value);
+  }
+  Status Get(const Slice& key, std::string* value) override {
+    Count(1);
+    return inner_->Get(key, value);
+  }
+  Status Delete(const Slice& key) override {
+    Count(1);
+    return inner_->Delete(key);
+  }
+  void MultiGet(const std::vector<Slice>& keys,
+                std::vector<std::string>* values,
+                std::vector<Status>* statuses) override {
+    Count(keys.size());
+    inner_->MultiGet(keys, values, statuses);
+  }
+  void MultiSet(const std::vector<Slice>& keys,
+                const std::vector<Slice>& values,
+                std::vector<Status>* statuses) override {
+    Count(keys.size());
+    inner_->MultiSet(keys, values, statuses);
+  }
+  UsageStats GetUsage() const override { return inner_->GetUsage(); }
+
+ private:
+  void Count(uint64_t ops) {
+    const uint64_t before = ops_.fetch_add(ops);
+    if (before <= n_ && before + ops > n_) at_op_();
+  }
+
+  KvEngine* inner_;
+  const uint64_t n_;
+  std::function<void()> at_op_;
+  std::atomic<uint64_t> ops_{0};
 };
 
 class ClusterNetTest : public ::testing::Test {
@@ -472,13 +520,11 @@ TEST_F(ClusterNetTest, KillMasterUnderYcsbKeepsServing) {
   ASSERT_GE(v.integer, 1);
   cli.Close();
 
-  // Kill n1 mid-run from a side thread.
-  std::thread killer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    n1->srv->Stop();
-  });
-  workload::RunResult run = workload::RunPhase(client.get(), options, runner);
-  killer.join();
+  // Kill n1 a sixth of the way into the run, however fast the host: the
+  // rest of the run meets the dead master and must fail over.
+  TriggerAfterOps killer(client.get(), options.operation_count / 6,
+                         [&] { n1->srv->Stop(); });
+  workload::RunResult run = workload::RunPhase(&killer, options, runner);
 
   // The run completes; ops that raced the kill are the only casualties
   // (bounded by one batch per retry budget), and service continued on the

@@ -4,8 +4,11 @@
 // and crash recovery of the cache tier.
 
 #include <atomic>
+#include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +26,68 @@
 
 namespace tierbase {
 namespace {
+
+// Mock storage whose MultiRead can be held after it has read its values:
+// a test runs a write between a miss's storage read and its cache fill,
+// or queues more misses behind a read on the wire.
+class GatedStorage : public MockStorageAdapter {
+ public:
+  /// Later reads block (after reading) until Release.
+  void Hold() {
+    std::lock_guard<std::mutex> lock(mu_);
+    holding_ = true;
+  }
+  /// Waits until `n` reads in all have blocked.
+  void WaitHeld(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return held_ >= n; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    holding_ = false;
+    cv_.notify_all();
+  }
+
+  Status MultiRead(const std::vector<std::string>& keys,
+                   std::vector<std::string>* values,
+                   std::vector<bool>* found) override {
+    Status s = MockStorageAdapter::MultiRead(keys, values, found);
+    std::unique_lock<std::mutex> lock(mu_);
+    if (holding_) {
+      ++held_;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return !holding_; });
+    }
+    return s;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool holding_ = false;
+  int held_ = 0;
+};
+
+// Mock storage that records the keys of every WriteBatch, in order.
+class RecordingStorage : public MockStorageAdapter {
+ public:
+  Status WriteBatch(const std::vector<BatchOp>& ops) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      batches_.emplace_back();
+      for (const auto& op : ops) batches_.back().push_back(op.key);
+    }
+    return MockStorageAdapter::WriteBatch(ops);
+  }
+  std::vector<std::vector<std::string>> batches() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return batches_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::vector<std::string>> batches_;
+};
 
 class TierBaseTest : public ::testing::Test {
  protected:
@@ -431,6 +496,35 @@ TEST(WriteBackManagerTest, DeletesFlushAsTombstones) {
   EXPECT_TRUE(storage.Read("k", &value).IsNotFound());
 }
 
+TEST(WriteBackManagerTest, FlushesOldestFirst) {
+  RecordingStorage storage;
+  WriteBackOptions options;
+  options.flush_interval_micros = 60'000'000;
+  options.flush_threshold = 1 << 30;
+  options.max_batch = 256;
+  WriteBackManager manager(&storage, options);
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(manager.MarkDirty("key" + std::to_string(i), "v", false).ok());
+  }
+  // Re-dirtying key0 moves it behind every other dirty key.
+  ASSERT_TRUE(manager.MarkDirty("key0", "v2", false).ok());
+  ASSERT_TRUE(manager.FlushAll().ok());
+
+  auto batches = storage.batches();
+  ASSERT_EQ(batches.size(), 2u);
+  ASSERT_EQ(batches[0].size(), 256u);
+  for (int i = 0; i < 256; ++i) {
+    EXPECT_EQ(batches[0][static_cast<size_t>(i)],
+              "key" + std::to_string(i + 1));
+  }
+  ASSERT_EQ(batches[1].size(), 44u);
+  EXPECT_EQ(batches[1].front(), "key257");
+  EXPECT_EQ(batches[1].back(), "key0");
+  std::string value;
+  ASSERT_TRUE(storage.Read("key0", &value).ok());
+  EXPECT_EQ(value, "v2");
+}
+
 TEST(WriteBackManagerTest, BatchesReduceRemoteCalls) {
   MockStorageAdapter storage;
   WriteBackOptions options;
@@ -520,46 +614,170 @@ TEST(DeferredFetcherTest, FetchesFromStorage) {
 }
 
 TEST(DeferredFetcherTest, ConcurrentMissesShareBatches) {
-  MockStorageAdapter::Options mock_options;
-  mock_options.latency_micros = 500;  // Make batching worthwhile & likely.
-  MockStorageAdapter storage(mock_options);
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(storage.Write("key" + std::to_string(i), "v").ok());
+  GatedStorage storage;
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(
+        storage.Write("key" + std::to_string(i), "v" + std::to_string(i))
+            .ok());
   }
-  DeferredFetchOptions options;
-  options.batch_window_micros = 2000;
-  options.max_batch = 64;
-  DeferredFetcher fetcher(&storage, options);
-
-  std::vector<std::thread> threads;
-  std::atomic<int> ok_count{0};
-  for (int t = 0; t < 16; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 4; ++i) {
-        std::string value;
-        if (fetcher.Fetch("key" + std::to_string(t * 4 + i), &value).ok()) {
-          ok_count.fetch_add(1);
-        }
-      }
+  DeferredFetcher fetcher(&storage, DeferredFetchOptions());
+  std::vector<std::string> values(16);
+  std::vector<Status> statuses(16);
+  auto fetch = [&](int i) {
+    return std::thread([&, i] {
+      statuses[static_cast<size_t>(i)] = fetcher.Fetch(
+          "key" + std::to_string(i), &values[static_cast<size_t>(i)]);
     });
-  }
+  };
+
+  // The leader reads at once; its read is held on the wire while 15 more
+  // misses queue behind it, and they all go out together as the next read.
+  storage.Hold();
+  std::vector<std::thread> threads;
+  threads.push_back(fetch(0));
+  storage.WaitHeld(1);
+  for (int i = 1; i < 16; ++i) threads.push_back(fetch(i));
+  while (fetcher.GetStats().fetches < 16) std::this_thread::yield();
+  storage.Release();
   for (auto& t : threads) t.join();
-  EXPECT_EQ(ok_count.load(), 64);
+
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(statuses[static_cast<size_t>(i)].ok()) << i;
+    EXPECT_EQ(values[static_cast<size_t>(i)], "v" + std::to_string(i));
+  }
   auto stats = fetcher.GetStats();
-  EXPECT_EQ(stats.fetches, 64u);
-  // Batching happened: fewer storage calls than fetches.
-  EXPECT_LT(stats.batch_calls, 64u);
+  EXPECT_EQ(stats.fetches, 16u);
+  EXPECT_EQ(stats.batch_calls, 2u);
+  EXPECT_EQ(storage.counters().batch_calls, 2u);
 }
 
-TEST(DeferredFetcherTest, DisabledModeStillCorrect) {
-  MockStorageAdapter storage;
-  ASSERT_TRUE(storage.Write("k", "v").ok());
-  DeferredFetchOptions options;
-  options.enabled = false;
-  DeferredFetcher fetcher(&storage, options);
+// A miss that arrives while a read of the same key is on the wire does not
+// join that read (it may predate a write the miss must see): it is sent
+// with the next one. Misses queued together share one key.
+TEST(DeferredFetcherTest, MissDuringReadWaitsForNextRead) {
+  GatedStorage storage;
+  ASSERT_TRUE(storage.Write("k", "old").ok());
+  DeferredFetcher fetcher(&storage, DeferredFetchOptions());
+  std::string first, second, third;
+  storage.Hold();
+  std::thread leader([&] { ASSERT_TRUE(fetcher.Fetch("k", &first).ok()); });
+  storage.WaitHeld(1);
+  ASSERT_TRUE(storage.Write("k", "new").ok());
+  std::thread a([&] { ASSERT_TRUE(fetcher.Fetch("k", &second).ok()); });
+  std::thread b([&] { ASSERT_TRUE(fetcher.Fetch("k", &third).ok()); });
+  while (fetcher.GetStats().fetches < 3) std::this_thread::yield();
+  storage.Release();
+  leader.join();
+  a.join();
+  b.join();
+  EXPECT_EQ(first, "old");
+  EXPECT_EQ(second, "new");
+  EXPECT_EQ(third, "new");
+  auto stats = fetcher.GetStats();
+  EXPECT_EQ(stats.batch_calls, 2u);
+  EXPECT_EQ(stats.shared, 1u);
+}
+
+// --- Populate rule: a fill never replaces or shadows a racing write. ---
+
+// Opens a tiered TierBase over `storage` (holding k=old), starts a GET of
+// k whose storage read is held, runs `racing_write` while it is held,
+// releases it, and returns what a later GET of k reads. The racing GET's
+// fill must have been refused.
+std::string GetAfterRacingWrite(
+    CachingPolicy policy, size_t memory_budget, GatedStorage* storage,
+    const std::function<void(TierBase*)>& racing_write,
+    const std::function<void()>& after_release = [] {}) {
+  EXPECT_TRUE(storage->Write("k", "old").ok());
+  TierBaseOptions options;
+  options.policy = policy;
+  options.cache.memory_budget = memory_budget;
+  options.write_back.flush_interval_micros = 60'000'000;
+  options.write_back.flush_threshold = 1 << 30;
+  auto db = TierBase::Open(options, storage);
+  EXPECT_TRUE(db.ok());
+
+  storage->Hold();
+  std::string raced;
+  std::thread miss([&] { EXPECT_TRUE((*db)->Get("k", &raced).ok()); });
+  storage->WaitHeld(1);
+  racing_write(db->get());
+  storage->Release();
+  miss.join();
+  after_release();
+  EXPECT_TRUE(raced == "old" || raced.substr(0, 3) == "new") << raced;
+  EXPECT_EQ((*db)->GetStats().populates_refused, 1u);
+
   std::string value;
-  ASSERT_TRUE(fetcher.Fetch("k", &value).ok());
-  EXPECT_EQ(value, "v");
+  EXPECT_TRUE((*db)->Get("k", &value).ok());
+  return value;
+}
+
+TEST(TierBasePopulateTest, SetCachedDuringFetchWins) {
+  for (CachingPolicy policy :
+       {CachingPolicy::kWriteThrough, CachingPolicy::kWriteBack}) {
+    SCOPED_TRACE(CachingPolicyName(policy));
+    GatedStorage storage;
+    EXPECT_EQ(GetAfterRacingWrite(policy, 0, &storage,
+                                  [](TierBase* db) {
+                                    ASSERT_TRUE(db->Set("k", "new").ok());
+                                  }),
+              "new");
+  }
+}
+
+TEST(TierBasePopulateTest, SetOnlyInDirtyBufferDuringFetchWins) {
+  // The new value is larger than the whole cache budget: its SET is
+  // acknowledged from the dirty buffer alone (OutOfSpace in the cache),
+  // while the small stale value would still fit.
+  const std::string big = "new" + std::string(4096, 'x');
+  GatedStorage storage;
+  const std::string value = GetAfterRacingWrite(
+      CachingPolicy::kWriteBack, 2048, &storage, [&](TierBase* db) {
+        ASSERT_TRUE(db->Set("k", big).ok());
+        EXPECT_FALSE(db->cache()->Exists("k"));
+      });
+  EXPECT_TRUE(value == big) << value.substr(0, 8);
+}
+
+TEST(TierBasePopulateTest, SetFlushedAndEvictedDuringFetchWins) {
+  for (CachingPolicy policy :
+       {CachingPolicy::kWriteThrough, CachingPolicy::kWriteBack}) {
+    SCOPED_TRACE(CachingPolicyName(policy));
+    GatedStorage storage;
+    EXPECT_EQ(GetAfterRacingWrite(policy, 0, &storage,
+                                  [](TierBase* db) {
+                                    ASSERT_TRUE(db->Set("k", "new").ok());
+                                    ASSERT_TRUE(db->WaitIdle().ok());
+                                    db->cache()->Delete("k");  // Evicted.
+                                  }),
+              "new");
+  }
+}
+
+// A GET that starts after the write was flushed and evicted, while the
+// stale read is still on the wire, reads storage afresh.
+TEST(TierBasePopulateTest, MissAfterFlushDoesNotJoinStaleRead) {
+  GatedStorage storage;
+  std::string late;
+  std::thread late_miss;
+  EXPECT_EQ(
+      GetAfterRacingWrite(
+          CachingPolicy::kWriteBack, 0, &storage,
+          [&](TierBase* db) {
+            ASSERT_TRUE(db->Set("k", "new").ok());
+            ASSERT_TRUE(db->WaitIdle().ok());
+            db->cache()->Delete("k");
+            late_miss = std::thread([&late, db] {
+              EXPECT_TRUE(db->Get("k", &late).ok());
+            });
+            while (db->GetStats().deferred_fetch.fetches < 2) {
+              std::this_thread::yield();
+            }
+          },
+          [&] { late_miss.join(); }),
+      "new");
+  EXPECT_EQ(late, "new");
 }
 
 // --- Replication. ---
@@ -844,7 +1062,6 @@ TEST_P(PolicyDifferentialTest, MultiOpsMatchModel) {
   options.wal_dir = dir;
   options.wal_pmem_device = device->get();
   options.write_back.flush_interval_micros = 5'000;
-  options.deferred_fetch.batch_window_micros = 0;
 
   bool tiered = policy == CachingPolicy::kWriteThrough ||
                 policy == CachingPolicy::kWriteBack;
@@ -1042,7 +1259,6 @@ TEST(TierBaseMultiOpsTest, MultiGetMissesFetchInOneBatchAndPopulate) {
   }
   TierBaseOptions options;
   options.policy = CachingPolicy::kWriteThrough;
-  options.deferred_fetch.batch_window_micros = 0;
   options.deferred_fetch.max_batch = 64;
   auto db = TierBase::Open(options, &storage);
   ASSERT_TRUE(db.ok());

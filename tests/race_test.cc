@@ -6,6 +6,8 @@
 //
 //   * cache eviction vs cross-shard MultiGet/MultiSet batches
 //   * the write-back FlusherLoop vs foreground Set/FlushAll
+//   * the deferred-fetch leader's reads vs misses queueing behind them
+//   * a miss's cache fill vs SETs racing its storage read
 //   * ElasticExecutor controller scale-up vs concurrent Submit/Execute
 //   * the replication apply thread vs concurrent reads
 //   * the server event loop vs a SHUTDOWN drain under client load
@@ -36,6 +38,7 @@
 #include "common/clock.h"
 #include "common/histogram.h"
 #include "common/metrics.h"
+#include "core/deferred_fetch.h"
 #include "core/replication.h"
 #include "core/storage_adapter.h"
 #include "core/tierbase.h"
@@ -117,7 +120,9 @@ TEST(RaceTest, WriteBackFlusherVsForeground) {
   for (int t = 0; t < kWriters; ++t) {
     threads.emplace_back([&wb, t] {
       for (int i = 0; i < kOps; ++i) {
-        std::string k = Key(t, i % 50);  // Re-dirty keys: merge path.
+        // Each key twice in a row, so the second write finds the first
+        // still dirty (merge path) even though the flusher keeps up.
+        std::string k = Key(t, (i / 2) % 50);
         ASSERT_TRUE(wb.MarkDirty(k, "v" + std::to_string(i), false).ok());
         std::string v;
         bool del = false;
@@ -139,6 +144,147 @@ TEST(RaceTest, WriteBackFlusherVsForeground) {
   EXPECT_EQ(storage.size(), static_cast<size_t>(kWriters * 50));
   // Re-dirtying merged at least some updates into pending entries.
   EXPECT_GT(wb.GetStats().merged_updates, 0u);
+}
+
+// --- Seam 2b: deferred-fetch leader vs misses queueing behind it. -------
+
+TEST(RaceTest, DeferredFetchLeaderVsJoiners) {
+  MockStorageAdapter::Options mopt;
+  mopt.latency_micros = 20;  // Keep reads on the wire long enough to queue.
+  MockStorageAdapter storage(mopt);
+  constexpr int kKeys = 24;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(storage.Write(Key(0, i), "v" + std::to_string(i)).ok());
+  }
+  DeferredFetchOptions opt;
+  opt.max_batch = 4;  // Small: a backlog takes several leader rounds.
+  DeferredFetcher fetcher(&storage, opt);
+
+  constexpr int kThreads = 4;
+  constexpr int kOps = 200;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&fetcher, t] {
+      for (int i = 0; i < kOps; ++i) {
+        // Overlapping keys (shared queue entries), one absent key, and
+        // every third call a multi-key fetch.
+        const int k = (i * 7 + t) % (kKeys + 1);
+        if (i % 3 == 0) {
+          std::vector<std::string> ks = {Key(0, k), Key(0, (k + 1) % kKeys),
+                                         Key(0, k)};
+          std::vector<Slice> slices(ks.begin(), ks.end());
+          std::vector<std::string> values;
+          std::vector<Status> statuses;
+          fetcher.FetchMany(slices, &values, &statuses);
+          ASSERT_EQ(statuses.size(), 3u);
+          EXPECT_EQ(statuses[1].ok(), true);
+          EXPECT_EQ(values[1], "v" + std::to_string((k + 1) % kKeys));
+          EXPECT_EQ(statuses[0].ok(), k < kKeys);
+          EXPECT_EQ(values[0], values[2]);
+          continue;
+        }
+        std::string v;
+        Status s = fetcher.Fetch(Key(0, k), &v);
+        if (k == kKeys) {
+          EXPECT_TRUE(s.IsNotFound()) << s.ToString();
+        } else {
+          ASSERT_TRUE(s.ok()) << s.ToString();
+          EXPECT_EQ(v, "v" + std::to_string(k));
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const DeferredFetcher::Stats stats = fetcher.GetStats();
+  EXPECT_EQ(stats.fetches, static_cast<uint64_t>(kThreads) *
+                               (kOps + 2 * ((kOps + 2) / 3)));
+  EXPECT_LT(stats.batch_calls, stats.fetches);
+  EXPECT_EQ(storage.counters().batch_calls, stats.batch_calls);
+}
+
+// --- Seam 2c: miss populate vs SETs racing the storage read. ------------
+
+// Writers ack increasing versions of their own keys while readers GET
+// them through a small cache (evictions, misses, fills) and a third
+// thread drops cache copies: no GET may read a version older than the
+// last one acknowledged before it was sent, so no fill ever replaced or
+// shadowed a newer write.
+TEST(RaceTest, MissPopulateVsSet) {
+  for (CachingPolicy policy :
+       {CachingPolicy::kWriteBack, CachingPolicy::kWriteThrough}) {
+    SCOPED_TRACE(CachingPolicyName(policy));
+    MockStorageAdapter::Options mopt;
+    mopt.latency_micros = 10;
+    MockStorageAdapter storage(mopt);
+    constexpr int kWriters = 2;
+    constexpr int kKeysPerWriter = 8;
+    for (int t = 0; t < kWriters; ++t) {
+      for (int i = 0; i < kKeysPerWriter; ++i) {
+        ASSERT_TRUE(storage.Write(Key(t, i), "0").ok());
+      }
+    }
+    TierBaseOptions opt;
+    opt.policy = policy;
+    opt.cache.shards = 2;
+    opt.cache.memory_budget = 2 << 10;  // A handful of entries.
+    opt.write_back.flush_threshold = 4;
+    opt.write_back.flush_interval_micros = 500;
+    auto db = TierBase::Open(opt, &storage);
+    ASSERT_TRUE(db.ok());
+    TierBase* tb = db->get();
+
+    std::atomic<uint64_t> acked[kWriters][kKeysPerWriter] = {};
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kWriters; ++t) {
+      threads.emplace_back([&, t] {
+        for (uint64_t v = 1; v <= 150; ++v) {
+          const int step = 1 + static_cast<int>(v % 3);
+          for (int i = 0; i < kKeysPerWriter; i += step) {
+            ASSERT_TRUE(tb->Set(Key(t, i), std::to_string(v)).ok());
+            acked[t][i].store(v);
+          }
+        }
+      });
+    }
+    for (int r = 0; r < 2; ++r) {
+      threads.emplace_back([&, r] {
+        uint64_t n = static_cast<uint64_t>(r);
+        while (!stop.load()) {
+          const int t = static_cast<int>(n % kWriters);
+          const int i = static_cast<int>((n / kWriters) % kKeysPerWriter);
+          ++n;
+          const uint64_t floor = acked[t][i].load();
+          std::string v;
+          ASSERT_TRUE(tb->Get(Key(t, i), &v).ok());
+          ASSERT_GE(std::stoull(v), floor) << Key(t, i);
+        }
+      });
+    }
+    threads.emplace_back([&] {
+      uint64_t n = 0;
+      while (!stop.load()) {
+        tb->cache()->Delete(Key(static_cast<int>(n % kWriters),
+                                static_cast<int>(n % kKeysPerWriter)));
+        ++n;
+        std::this_thread::yield();
+      }
+    });
+    for (int t = 0; t < kWriters; ++t) threads[static_cast<size_t>(t)].join();
+    stop.store(true);
+    for (size_t t = kWriters; t < threads.size(); ++t) threads[t].join();
+
+    EXPECT_GT(tb->GetStats().cache_misses, 0u);
+    // Quiesced: every key reads its last acknowledged version.
+    for (int t = 0; t < kWriters; ++t) {
+      for (int i = 0; i < kKeysPerWriter; ++i) {
+        std::string v;
+        ASSERT_TRUE(tb->Get(Key(t, i), &v).ok());
+        EXPECT_EQ(std::stoull(v), acked[t][i].load()) << Key(t, i);
+      }
+    }
+  }
 }
 
 // --- Seam 3: ElasticExecutor scale-up vs Submit/Execute. ----------------

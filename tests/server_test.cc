@@ -358,7 +358,10 @@ TEST_F(ServerTest, CommandMatrix) {
   for (const char* field :
        {"keyspace_hits:", "keyspace_misses:", "evicted_keys:",
         "lru_touches:", "multi_shard_locks:", "bytes_cached:",
-        "keys_cached:", "thread_mode:", "connected_clients:"}) {
+        "keys_cached:", "thread_mode:", "connected_clients:",
+        "deferred_fetches:", "deferred_fetch_batches:",
+        "deferred_fetch_shared:", "write_back_backpressure_waits:",
+        "eviction_filter_skips:", "storage_populates_refused:"}) {
     EXPECT_NE(std::string::npos, v.str.find(field)) << field;
   }
 }
